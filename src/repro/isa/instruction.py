@@ -20,13 +20,12 @@ from typing import Optional, Tuple
 from repro.isa.opcodes import (
     ACCESS_WIDTH,
     CONDITIONAL_BRANCHES,
-    Format,
     InstrClass,
     Opcode,
     OpInfo,
     opcode_info,
 )
-from repro.isa.registers import ZERO_REG
+from repro.isa.uop import Uop
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,10 @@ class Instruction:
     Derived facts (class, sources, destinations, …) are cached on first
     access: instructions are decoded once per text address and consulted
     millions of times by the timing models, so these lookups are on the
-    simulators' hottest path. (``functools.cached_property`` stores into
+    simulators' hottest path. The facts the pipeline scans read every
+    cycle (operands, queue, unit, latency) are gathered in one
+    :class:`~repro.isa.uop.Uop` record, ``uop``; the register-operand
+    accessors below read it. (``functools.cached_property`` stores into
     the instance ``__dict__`` directly, which coexists with the frozen
     dataclass.)
     """
@@ -98,65 +100,25 @@ class Instruction:
         return self.address + 4
 
     @cached_property
-    def _int_sources(self) -> Tuple[int, ...]:
-        sources = []
-        if self.rs1 is not None and self.rs1 != ZERO_REG:
-            sources.append(self.rs1)
-        if self.rs2 is not None and self.rs2 != ZERO_REG:
-            sources.append(self.rs2)
-        # Integer stores read the data register from the integer file.
-        info = self.info
-        if (info.fmt is Format.STORE and self.rd is not None
-                and self.rd != ZERO_REG):
-            sources.append(self.rd)
-        return tuple(sources)
+    def uop(self) -> Uop:
+        """The static timing record the pipeline scans read each cycle."""
+        return Uop(self)
 
     def int_sources(self) -> Tuple[int, ...]:
         """Integer registers read, excluding the hardwired zero register."""
-        return self._int_sources
-
-    @cached_property
-    def _int_dest(self) -> Optional[int]:
-        info = self.info
-        if info.fmt in (Format.ALU, Format.SETHI, Format.LOAD, Format.JMPL,
-                        Format.F2I):
-            if self.rd is not None and self.rd != ZERO_REG:
-                return self.rd
-            return None
-        if info.fmt is Format.CALL:
-            return self.rd  # link register, set by the decoder
-        return None
+        return self.uop.int_sources
 
     def int_dest(self) -> Optional[int]:
         """Integer register written, or None. Writes to %g0 are discarded."""
-        return self._int_dest
-
-    @cached_property
-    def _fp_sources(self) -> Tuple[int, ...]:
-        sources = []
-        if self.fs1 is not None:
-            sources.append(self.fs1)
-        if self.fs2 is not None:
-            sources.append(self.fs2)
-        info = self.info
-        if info.fmt is Format.FSTORE and self.fd is not None:
-            sources.append(self.fd)
-        return tuple(sources)
+        return self.uop.int_dest
 
     def fp_sources(self) -> Tuple[int, ...]:
         """FP registers read."""
-        return self._fp_sources
-
-    @cached_property
-    def _fp_dest(self) -> Optional[int]:
-        info = self.info
-        if info.fmt in (Format.FPOP1, Format.FPOP2, Format.FLOAD, Format.I2F):
-            return self.fd
-        return None
+        return self.uop.fp_sources
 
     def fp_dest(self) -> Optional[int]:
         """FP register written, or None."""
-        return self._fp_dest
+        return self.uop.fp_dest
 
     def __str__(self) -> str:
         from repro.isa.disasm import format_instruction

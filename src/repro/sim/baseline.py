@@ -9,7 +9,9 @@ instruction, inside the simulation loop.
 
 :class:`IntegratedSimulator` recreates that role. It models the same
 R10000-like pipeline with the same parameters and cache hierarchy as
-:class:`~repro.uarch.detailed.DetailedSimulator`, but:
+:class:`~repro.uarch.detailed.DetailedSimulator` — retire counting,
+issue and dispatch are the same :mod:`repro.uarch.scans` functions —
+but:
 
 * every instruction is **decoded from the binary text image at fetch
   time** (SimpleScalar decodes at fetch; FastSim's binary rewriting
@@ -39,20 +41,13 @@ from repro.emulator.state import ArchState
 from repro.errors import SimulationError
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrClass, LAT_AGEN
 from repro.isa.program import Executable
 from repro.obs.core import ensure_observer
 from repro.sim.results import SimulationResult
 from repro.sim.world import SimStats
-from repro.uarch.iq import (
-    ADDR_QUEUE_CLASSES,
-    FP_QUEUE_CLASSES,
-    Stage,
-)
+from repro.uarch.iq import Stage, unresolved_branches
 from repro.uarch.params import ProcessorParams
-
-_MULDIV = (InstrClass.IMUL, InstrClass.IDIV)
-_FDIVSQRT = (InstrClass.FDIV, InstrClass.FSQRT)
+from repro.uarch.scans import issue_and_dispatch, retirable
 
 
 class _RobEntry:
@@ -60,7 +55,7 @@ class _RobEntry:
 
     __slots__ = ("instr", "stage", "timer", "pred_taken", "mispredicted",
                  "actual_taken", "next_pc", "mem_addr", "mem_width",
-                 "store_undo", "token", "checkpoint", "is_halt")
+                 "store_undo", "token", "checkpoint")
 
     def __init__(self, instr: Instruction):
         self.instr = instr
@@ -75,23 +70,6 @@ class _RobEntry:
         self.store_undo: Optional[bytes] = None
         self.token: Optional[int] = None
         self.checkpoint = None  #: register snapshot if mispredicted
-        self.is_halt = instr.iclass is InstrClass.HALT
-
-    @property
-    def iclass(self) -> InstrClass:
-        return self.instr.iclass
-
-    @property
-    def is_cond_branch(self) -> bool:
-        return self.instr.is_conditional_branch
-
-    @property
-    def is_load(self) -> bool:
-        return self.instr.is_load
-
-    @property
-    def is_store(self) -> bool:
-        return self.instr.is_store
 
 
 class IntegratedSimulator:
@@ -135,8 +113,7 @@ class IntegratedSimulator:
                 if self._retire():
                     break
                 self._progress_execution()
-                self._issue()
-                self._dispatch()
+                issue_and_dispatch(self.rob, self.params)
                 self._fetch()
                 self.cycle += 1
                 self.stats.cycles += 1
@@ -166,7 +143,8 @@ class IntegratedSimulator:
     # -- fetch: functional execution happens here ---------------------------
 
     def _fetch_decode(self, address: int) -> Instruction:
-        """Decode from the raw text image (no pre-decoded cache)."""
+        """Decode from the raw text image (no pre-decoded cache); the
+        timing record is built here too, once per fetch."""
         offset = address - self.executable.text_base
         word = int.from_bytes(self.executable.text[offset:offset + 4], "big")
         return decode(word, address)
@@ -176,14 +154,14 @@ class IntegratedSimulator:
             return
         params = self.params
         fetched = 0
-        unresolved = sum(
-            1 for e in self.rob
-            if e.is_cond_branch and e.stage is not Stage.DONE
-        )
+        unresolved = None  # counted on the group's first branch
         while (fetched < params.fetch_width
                and len(self.rob) < params.iq_capacity):
             instr = self._fetch_decode(self.fetch_pc)
-            if instr.is_conditional_branch:
+            uop = instr.uop
+            if uop.is_cond_branch:
+                if unresolved is None:
+                    unresolved = unresolved_branches(self.rob)
                 if unresolved >= params.max_spec_branches:
                     break
                 unresolved += 1
@@ -192,7 +170,7 @@ class IntegratedSimulator:
             self.rob.append(entry)
             fetched += 1
             self.fetched_instructions += 1
-            if entry.is_halt:
+            if uop.is_halt:
                 self.fetch_halted = True
                 self.fetch_pc = None
                 break
@@ -212,7 +190,7 @@ class IntegratedSimulator:
         state = self.state
         instr = entry.instr
         state.pc = instr.address
-        if entry.is_halt:
+        if instr.uop.is_halt:
             state.halted = True
             return
         interpreter.step()
@@ -242,31 +220,31 @@ class IntegratedSimulator:
         instr = entry.instr
         if instr.is_indirect_jump:
             return None  # stall until the jump executes
-        if entry.is_cond_branch:
+        if instr.is_conditional_branch:
             return instr.target if entry.pred_taken else instr.address + 4
         return entry.next_pc
 
     # -- retire ---------------------------------------------------------------
 
     def _retire(self) -> bool:
-        count = 0
-        while (count < self.params.retire_width and count < len(self.rob)
-               and self.rob[count].stage is Stage.DONE):
-            count += 1
+        count = retirable(self.rob, self.params.retire_width)
         if not count:
             return False
         retired = self.rob[:count]
         del self.rob[:count]
         stats = self.stats
         stats.retired_instructions += count
+        halted = False
         for entry in retired:
-            if entry.is_load:
+            uop = entry.instr.uop
+            if uop.is_load:
                 stats.retired_loads += 1
-            elif entry.is_store:
+            elif uop.is_store:
                 stats.retired_stores += 1
-            if entry.is_cond_branch:
+            if uop.is_cond_branch:
                 stats.retired_branches += 1
-        return any(e.is_halt for e in retired)
+            halted = halted or uop.is_halt
+        return halted
 
     # -- execution progress ------------------------------------------------------
 
@@ -294,7 +272,8 @@ class IntegratedSimulator:
             index += 1
 
     def _complete(self, index: int, entry: _RobEntry) -> None:
-        if entry.is_load:
+        uop = entry.instr.uop
+        if uop.is_load:
             token, interval = self.cache.issue_load(
                 entry.mem_addr, entry.mem_width, self.cycle
             )
@@ -302,18 +281,18 @@ class IntegratedSimulator:
             entry.stage = Stage.CACHE
             entry.timer = interval
             return
-        if entry.is_store:
+        if uop.is_store:
             interval = self.cache.issue_store(
                 entry.mem_addr, entry.mem_width, self.cycle
             )
             entry.stage = Stage.STWAIT
             entry.timer = interval
             return
-        if entry.is_cond_branch and entry.mispredicted:
+        if uop.is_cond_branch and entry.mispredicted:
             self._rollback(index, entry)
             return
         entry.stage = Stage.DONE
-        if (entry.instr.is_indirect_jump and self.fetch_stalled
+        if (uop.is_indirect and self.fetch_stalled
                 and index == len(self.rob) - 1):
             self.fetch_stalled = False
             self.fetch_pc = entry.next_pc
@@ -343,158 +322,3 @@ class IntegratedSimulator:
         )
         self.fetch_stalled = False
         self.fetch_halted = False
-
-    # -- issue --------------------------------------------------------------------
-
-    def _issue(self) -> None:
-        params = self.params
-        int_slots = params.int_alus
-        fp_slots = params.fp_units
-        agen_slots = params.agen_units
-        muldiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _MULDIV for e in self.rob
-        )
-        fdiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _FDIVSQRT for e in self.rob
-        )
-        undone_int = set()
-        undone_fp = set()
-        icc_undone = False
-        fcc_undone = False
-        stores_unissued = 0
-        branch_unresolved = False
-
-        for entry in self.rob:
-            if entry.stage is Stage.QUEUE:
-                issued = self._try_issue(
-                    entry, undone_int, undone_fp, icc_undone, fcc_undone,
-                    stores_unissued, branch_unresolved, int_slots, fp_slots,
-                    agen_slots, muldiv_busy, fdiv_busy,
-                )
-                if issued:
-                    iclass = entry.iclass
-                    if iclass in ADDR_QUEUE_CLASSES:
-                        agen_slots -= 1
-                    elif iclass in FP_QUEUE_CLASSES:
-                        fp_slots -= 1
-                        if iclass in _FDIVSQRT:
-                            fdiv_busy = True
-                    else:
-                        int_slots -= 1
-                        if iclass in _MULDIV:
-                            muldiv_busy = True
-            if entry.stage is not Stage.DONE:
-                instr = entry.instr
-                dest = instr.int_dest()
-                if dest is not None:
-                    undone_int.add(dest)
-                fp_dest = instr.fp_dest()
-                if fp_dest is not None:
-                    undone_fp.add(fp_dest)
-                info = instr.info
-                if info.sets_icc:
-                    icc_undone = True
-                if info.sets_fcc:
-                    fcc_undone = True
-                if entry.is_cond_branch:
-                    branch_unresolved = True
-            if entry.is_store and entry.stage in (Stage.QUEUE, Stage.EXEC):
-                stores_unissued += 1
-
-    def _try_issue(self, entry, undone_int, undone_fp, icc_undone,
-                   fcc_undone, stores_unissued, branch_unresolved,
-                   int_slots, fp_slots, agen_slots,
-                   muldiv_busy, fdiv_busy) -> bool:
-        instr = entry.instr
-        info = instr.info
-        for reg in instr.int_sources():
-            if reg in undone_int:
-                return False
-        for reg in instr.fp_sources():
-            if reg in undone_fp:
-                return False
-        if info.reads_icc and icc_undone:
-            return False
-        if info.reads_fcc and fcc_undone:
-            return False
-        iclass = entry.iclass
-        if iclass in ADDR_QUEUE_CLASSES:
-            if agen_slots <= 0:
-                return False
-            if entry.is_load and stores_unissued:
-                return False
-            if entry.is_store and branch_unresolved:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = LAT_AGEN
-            return True
-        if iclass in FP_QUEUE_CLASSES:
-            if fp_slots <= 0:
-                return False
-            if iclass in _FDIVSQRT and fdiv_busy:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = info.latency
-            return True
-        if int_slots <= 0:
-            return False
-        if iclass in _MULDIV and muldiv_busy:
-            return False
-        entry.stage = Stage.EXEC
-        entry.timer = info.latency
-        return True
-
-    # -- dispatch --------------------------------------------------------------------
-
-    def _dispatch(self) -> None:
-        params = self.params
-        int_q = fp_q = addr_q = 0
-        int_renames = fp_renames = 0
-        for entry in self.rob:
-            iclass = entry.iclass
-            if entry.stage is Stage.QUEUE:
-                if iclass in ADDR_QUEUE_CLASSES:
-                    addr_q += 1
-                elif iclass in FP_QUEUE_CLASSES:
-                    fp_q += 1
-                else:
-                    int_q += 1
-            elif (iclass in ADDR_QUEUE_CLASSES
-                  and entry.stage in (Stage.EXEC, Stage.CACHE, Stage.STWAIT)):
-                addr_q += 1
-            if entry.stage is not Stage.FETCHED:
-                if entry.instr.int_dest() is not None:
-                    int_renames += 1
-                if entry.instr.fp_dest() is not None:
-                    fp_renames += 1
-
-        dispatched = 0
-        for entry in self.rob:
-            if entry.stage is not Stage.FETCHED:
-                continue
-            if dispatched >= params.decode_width:
-                break
-            instr = entry.instr
-            iclass = entry.iclass
-            if iclass in ADDR_QUEUE_CLASSES:
-                if addr_q >= params.addr_queue:
-                    break
-                addr_q += 1
-            elif iclass in FP_QUEUE_CLASSES:
-                if fp_q >= params.fp_queue:
-                    break
-                fp_q += 1
-            else:
-                if int_q >= params.int_queue:
-                    break
-                int_q += 1
-            if instr.int_dest() is not None:
-                if int_renames >= params.int_renames:
-                    break
-                int_renames += 1
-            if instr.fp_dest() is not None:
-                if fp_renames >= params.fp_renames:
-                    break
-                fp_renames += 1
-            entry.stage = Stage.QUEUE
-            dispatched += 1

@@ -4,6 +4,8 @@
 * :class:`DetailedSimulator` — cycle-accurate pipeline (a generator
   yielding :mod:`~repro.uarch.interactions` requests)
 * :class:`InstructionQueue` / :class:`IQEntry` / :class:`Stage` — the iQ
+* :mod:`~repro.uarch.scans` — the per-cycle retire/issue/dispatch scans
+  shared with the integrated baseline
 * :func:`encode_config` / :func:`decode_config` — configuration codec
 """
 

@@ -35,10 +35,9 @@ from typing import Generator, Optional
 
 from repro.emulator.queues import ControlKind, ControlRecord
 from repro.errors import SimulationError
-from repro.isa.opcodes import InstrClass, LAT_AGEN
 from repro.isa.program import Executable
 from repro.uarch.interactions import (
-    CycleBoundary,
+    CYCLE_BOUNDARY,
     Finished,
     GetControl,
     IssueLoad,
@@ -48,19 +47,14 @@ from repro.uarch.interactions import (
     Retire,
     Rollback,
 )
-from repro.uarch.iq import (
-    ADDR_QUEUE_CLASSES,
-    FP_QUEUE_CLASSES,
-    IQEntry,
-    InstructionQueue,
-    Stage,
-)
+from repro.uarch.iq import IQEntry, InstructionQueue, Stage, unresolved_branches
 from repro.uarch.params import ProcessorParams
+from repro.uarch.scans import issue_and_dispatch, retirable
 
-#: Instruction classes that share the single multiply/divide slot.
-_MULDIV = (InstrClass.IMUL, InstrClass.IDIV)
-#: Instruction classes that share the single FP divide/sqrt slot.
-_FDIVSQRT = (InstrClass.FDIV, InstrClass.FSQRT)
+_EXEC = Stage.EXEC
+_CACHE = Stage.CACHE
+_STWAIT = Stage.STWAIT
+_DONE = Stage.DONE
 
 
 class DetailedSimulator:
@@ -95,104 +89,99 @@ class DetailedSimulator:
         self.fetch_halted = fetch_halted
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Main loop: one iteration per simulated cycle
     # ------------------------------------------------------------------
 
     def run(self) -> Generator[Request, object, None]:
         """Simulate cycles until the program's halt retires.
 
         Yields :class:`Request` objects; the driver must ``send()`` the
-        outcome (or None for outcome-less requests).
+        outcome (or None for outcome-less requests). Each cycle runs
+        retire, execution progress, issue, dispatch and fetch, then
+        yields the cycle boundary.
         """
+        params = self.params
         while True:
-            finished = yield from self._step_cycle()
-            yield CycleBoundary()
-            if finished:
-                yield Finished()
-                return
+            iq = self.iq
+            entries = iq.entries
 
-    # ------------------------------------------------------------------
-    # One cycle
-    # ------------------------------------------------------------------
+            # -- phase 1: retire ----------------------------------------
+            count = retirable(entries, params.retire_width)
+            if count:
+                request, halted = self._retire(count)
+                yield request
+                if halted:
+                    if entries:
+                        raise SimulationError(
+                            "halt retired with younger instructions in "
+                            "flight"
+                        )
+                    yield CYCLE_BOUNDARY
+                    yield Finished()
+                    return
 
-    def _step_cycle(self):
-        finished = yield from self._retire()
-        if finished:
-            return True
-        yield from self._progress_execution()
-        self._issue()
-        self._dispatch()
-        yield from self._fetch()
-        return False
+            # -- phase 2: execution progress ----------------------------
+            # (A squash shortens *entries*; the iterator stops there.)
+            for index, entry in enumerate(entries):
+                stage = entry.stage
+                if stage is _EXEC:
+                    entry.timer -= 1
+                    if entry.timer <= 0:
+                        yield from self._complete_execution(index, entry)
+                elif stage is _CACHE:
+                    entry.timer -= 1
+                    if entry.timer <= 0:
+                        reply = yield PollLoad(iq.load_ordinal(index))
+                        if reply == 0:
+                            entry.stage = _DONE
+                        else:
+                            entry.timer = reply
+                elif stage is _STWAIT:
+                    entry.timer -= 1
+                    if entry.timer <= 0:
+                        entry.stage = _DONE
 
-    # -- phase 1: retire --------------------------------------------------
+            # -- phases 3 and 4: issue, dispatch ------------------------
+            issue_and_dispatch(entries, params)
 
-    def _retire(self):
-        iq = self.iq
-        count = 0
-        while (count < self.params.retire_width and count < len(iq)
-               and iq[count].stage is Stage.DONE):
-            count += 1
-        if not count:
-            return False
-        retired = iq.retire_head(count)
-        loads = sum(1 for e in retired if e.is_load)
-        stores = sum(1 for e in retired if e.is_store)
-        controls = sum(1 for e in retired if e.consumes_control)
-        branches = sum(1 for e in retired if e.is_cond_branch)
-        halted = any(e.is_halt for e in retired)
-        yield Retire(count, loads, stores, controls, branches)
-        if halted:
-            if len(iq):
-                raise SimulationError(
-                    "halt retired with younger instructions in flight"
-                )
-            return True
-        return False
+            # -- phase 5: fetch -----------------------------------------
+            if not (self.fetch_halted or self.fetch_stalled
+                    or self.fetch_pc is None):
+                yield from self._fetch()
+            yield CYCLE_BOUNDARY
 
-    # -- phase 2: execution progress ---------------------------------------
-
-    def _progress_execution(self):
-        iq = self.iq
-        index = 0
-        while index < len(iq.entries):
-            entry = iq.entries[index]
-            stage = entry.stage
-            if stage is Stage.EXEC:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    yield from self._complete_execution(index, entry)
-            elif stage is Stage.CACHE:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    reply = yield PollLoad(iq.load_ordinal(index))
-                    if reply == 0:
-                        entry.stage = Stage.DONE
-                    else:
-                        entry.timer = reply
-            elif stage is Stage.STWAIT:
-                entry.timer -= 1
-                if entry.timer <= 0:
-                    entry.stage = Stage.DONE
-            index += 1
+    def _retire(self, count: int):
+        """Remove the *count* oldest (DONE) entries; returns the Retire
+        request and whether the halt was among them."""
+        loads = stores = controls = branches = 0
+        halted = False
+        for entry in self.iq.retire_head(count):
+            uop = entry.instr.uop
+            loads += uop.is_load
+            stores += uop.is_store
+            controls += uop.consumes_control
+            branches += uop.is_cond_branch
+            halted = halted or uop.is_halt
+        return Retire(count, loads, stores, controls, branches), halted
 
     def _complete_execution(self, index: int, entry: IQEntry):
         iq = self.iq
-        if entry.is_load:
+        uop = entry.instr.uop
+        if uop.is_load:
             interval = yield IssueLoad(iq.load_ordinal(index))
             entry.stage = Stage.CACHE
             entry.timer = interval
             return
-        if entry.is_store:
+        if uop.is_store:
             interval = yield IssueStore(iq.store_ordinal(index))
             entry.stage = Stage.STWAIT
             entry.timer = interval
             return
-        if entry.is_cond_branch and entry.mispredicted:
+        if uop.is_cond_branch and entry.mispredicted:
             yield from self._resolve_misprediction(index, entry)
             return
         entry.stage = Stage.DONE
-        if entry.is_indirect and self.fetch_stalled and index == len(iq) - 1:
+        if uop.is_indirect and self.fetch_stalled and index == len(iq) - 1:
             # Fetch was waiting on this jump's target.
             self.fetch_stalled = False
             self.fetch_pc = entry.jump_target
@@ -205,204 +194,41 @@ class DetailedSimulator:
         entry.pred_taken = actual_taken
         entry.mispredicted = False
         control_ordinal = iq.control_ordinal(index)
-        squashed = iq.squash_after(index)
+        squashed = [e.instr.uop for e in iq.squash_after(index)]
         yield Rollback(
             control_ordinal,
-            squashed_loads=sum(1 for e in squashed if e.is_load),
-            squashed_stores=sum(1 for e in squashed if e.is_store),
-            squashed_controls=sum(1 for e in squashed if e.consumes_control),
+            squashed_loads=sum(u.is_load for u in squashed),
+            squashed_stores=sum(u.is_store for u in squashed),
+            squashed_controls=sum(u.consumes_control for u in squashed),
         )
         instr = entry.instr
         self.fetch_pc = instr.target if actual_taken else instr.fall_through
         self.fetch_stalled = False
         self.fetch_halted = False
 
-    # -- phase 3: issue ------------------------------------------------------
-
-    def _issue(self) -> None:
-        params = self.params
-        iq = self.iq
-        int_slots = params.int_alus
-        fp_slots = params.fp_units
-        agen_slots = params.agen_units
-        muldiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _MULDIV for e in iq.entries
-        )
-        fdiv_busy = any(
-            e.stage is Stage.EXEC and e.iclass in _FDIVSQRT
-            for e in iq.entries
-        )
-        undone_int = set()
-        undone_fp = set()
-        icc_undone = False
-        fcc_undone = False
-        stores_unissued = 0
-        branch_unresolved = False
-
-        for entry in iq.entries:
-            if entry.stage is Stage.QUEUE:
-                if self._try_issue(
-                    entry, undone_int, undone_fp, icc_undone, fcc_undone,
-                    stores_unissued, branch_unresolved,
-                    int_slots, fp_slots, agen_slots, muldiv_busy, fdiv_busy,
-                ):
-                    iclass = entry.iclass
-                    if iclass in ADDR_QUEUE_CLASSES:
-                        agen_slots -= 1
-                    elif iclass in FP_QUEUE_CLASSES:
-                        fp_slots -= 1
-                        if iclass in _FDIVSQRT:
-                            fdiv_busy = True
-                    else:
-                        int_slots -= 1
-                        if iclass in _MULDIV:
-                            muldiv_busy = True
-            # Scan-state updates (after considering this entry for issue).
-            if entry.stage is not Stage.DONE:
-                instr = entry.instr
-                dest = instr.int_dest()
-                if dest is not None:
-                    undone_int.add(dest)
-                fp_dest = instr.fp_dest()
-                if fp_dest is not None:
-                    undone_fp.add(fp_dest)
-                info = instr.info
-                if info.sets_icc:
-                    icc_undone = True
-                if info.sets_fcc:
-                    fcc_undone = True
-                if entry.is_cond_branch:
-                    branch_unresolved = True
-            if entry.is_store and entry.stage in (Stage.QUEUE, Stage.EXEC):
-                stores_unissued += 1
-
-    def _try_issue(self, entry, undone_int, undone_fp, icc_undone,
-                   fcc_undone, stores_unissued, branch_unresolved,
-                   int_slots, fp_slots, agen_slots,
-                   muldiv_busy, fdiv_busy) -> bool:
-        """Issue *entry* if operands, ordering, and a unit allow. Returns
-        True when the entry moved to EXEC."""
-        instr = entry.instr
-        info = instr.info
-        # Operand readiness: every source must have no in-flight producer.
-        for reg in instr.int_sources():
-            if reg in undone_int:
-                return False
-        for reg in instr.fp_sources():
-            if reg in undone_fp:
-                return False
-        if info.reads_icc and icc_undone:
-            return False
-        if info.reads_fcc and fcc_undone:
-            return False
-
-        iclass = entry.iclass
-        if iclass in ADDR_QUEUE_CLASSES:
-            if agen_slots <= 0:
-                return False
-            if entry.is_load and stores_unissued:
-                return False  # address-blind ordering: wait for stores
-            if entry.is_store and branch_unresolved:
-                return False  # stores never issue speculatively
-            entry.stage = Stage.EXEC
-            entry.timer = LAT_AGEN
-            return True
-        if iclass in FP_QUEUE_CLASSES:
-            if fp_slots <= 0:
-                return False
-            if iclass in _FDIVSQRT and fdiv_busy:
-                return False
-            entry.stage = Stage.EXEC
-            entry.timer = info.latency
-            return True
-        # Integer queue classes (ALU, mul/div, branches, jumps, nop, halt).
-        if int_slots <= 0:
-            return False
-        if iclass in _MULDIV and muldiv_busy:
-            return False
-        entry.stage = Stage.EXEC
-        entry.timer = info.latency
-        return True
-
-    # -- phase 4: dispatch (decode) --------------------------------------------
-
-    def _dispatch(self) -> None:
-        params = self.params
-        iq = self.iq
-        int_q = fp_q = addr_q = 0
-        int_renames = fp_renames = 0
-        for entry in iq.entries:
-            iclass = entry.iclass
-            if entry.stage is Stage.QUEUE:
-                if iclass in ADDR_QUEUE_CLASSES:
-                    addr_q += 1
-                elif iclass in FP_QUEUE_CLASSES:
-                    fp_q += 1
-                else:
-                    int_q += 1
-            elif (iclass in ADDR_QUEUE_CLASSES
-                  and entry.stage in (Stage.EXEC, Stage.CACHE, Stage.STWAIT)):
-                # Address-queue entries are held until completion.
-                addr_q += 1
-            if entry.stage is not Stage.FETCHED:
-                if entry.instr.int_dest() is not None:
-                    int_renames += 1
-                if entry.instr.fp_dest() is not None:
-                    fp_renames += 1
-
-        dispatched = 0
-        for entry in iq.entries:
-            if entry.stage is not Stage.FETCHED:
-                continue
-            if dispatched >= params.decode_width:
-                break
-            instr = entry.instr
-            iclass = entry.iclass
-            if iclass in ADDR_QUEUE_CLASSES:
-                if addr_q >= params.addr_queue:
-                    break
-                addr_q += 1
-            elif iclass in FP_QUEUE_CLASSES:
-                if fp_q >= params.fp_queue:
-                    break
-                fp_q += 1
-            else:
-                if int_q >= params.int_queue:
-                    break
-                int_q += 1
-            if instr.int_dest() is not None:
-                if int_renames >= params.int_renames:
-                    break
-                int_renames += 1
-            if instr.fp_dest() is not None:
-                if fp_renames >= params.fp_renames:
-                    break
-                fp_renames += 1
-            entry.stage = Stage.QUEUE
-            dispatched += 1
-
-    # -- phase 5: fetch -----------------------------------------------------------
-
     def _fetch(self):
-        if self.fetch_halted or self.fetch_stalled or self.fetch_pc is None:
-            return
         params = self.params
         iq = self.iq
+        entries = iq.entries
+        instruction_at = self.executable.instruction_at
         fetched = 0
-        unresolved = iq.unresolved_branches()
-        while fetched < params.fetch_width and not iq.full:
-            instr = self.executable.instruction_at(self.fetch_pc)
-            if instr.is_conditional_branch:
+        unresolved = None  # counted on the group's first branch
+        while fetched < params.fetch_width and len(entries) < iq.capacity:
+            instr = instruction_at(self.fetch_pc)
+            uop = instr.uop
+            if uop.is_cond_branch:
+                if unresolved is None:
+                    unresolved = unresolved_branches(entries)
                 if unresolved >= params.max_spec_branches:
                     break  # speculation limit: stall until one resolves
                 unresolved += 1
             entry = IQEntry(instr)
-            if entry.consumes_control:
+            if uop.consumes_control:
                 record = yield GetControl()
                 self._apply_control_record(entry, record)
-            iq.append(entry)
+            entries.append(entry)
             fetched += 1
-            if entry.is_halt:
+            if uop.is_halt:
                 self.fetch_halted = True
                 self.fetch_pc = None
                 break
@@ -411,22 +237,22 @@ class DetailedSimulator:
                 self.fetch_stalled = True  # unresolved indirect jump
                 self.fetch_pc = None
                 break
-            taken_transfer = next_pc != instr.fall_through
             self.fetch_pc = next_pc
-            if taken_transfer:
+            if next_pc != instr.fall_through:
                 break  # one fetch group does not follow a taken branch
 
     def _apply_control_record(self, entry: IQEntry,
                               record: ControlRecord) -> None:
         instr = entry.instr
-        if entry.is_cond_branch:
+        uop = instr.uop
+        if uop.is_cond_branch:
             if record.kind is not ControlKind.COND or record.pc != instr.address:
                 raise SimulationError(
                     f"control record mismatch at 0x{instr.address:x}: {record}"
                 )
             entry.pred_taken = record.predicted_taken
             entry.mispredicted = record.mispredicted
-        elif entry.is_indirect:
+        elif uop.is_indirect:
             if record.kind is not ControlKind.INDIRECT or record.pc != instr.address:
                 raise SimulationError(
                     f"control record mismatch at 0x{instr.address:x}: {record}"

@@ -125,6 +125,11 @@ class CycleBoundary(Request):
     __slots__ = ()
 
 
+#: The boundary every cycle yields: requests are immutable, so one
+#: instance serves every cycle of every simulator.
+CYCLE_BOUNDARY = CycleBoundary()
+
+
 @dataclass(frozen=True)
 class Finished(Request):
     """The halt instruction retired and the pipeline drained."""

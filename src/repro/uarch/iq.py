@@ -41,20 +41,6 @@ class Stage(enum.IntEnum):
     DONE = 5  #: complete; waiting to retire in order
 
 
-#: Instruction classes dispatched to the integer queue.
-INT_QUEUE_CLASSES = frozenset({
-    InstrClass.IALU, InstrClass.IMUL, InstrClass.IDIV,
-    InstrClass.BRANCH, InstrClass.JUMP, InstrClass.NOP, InstrClass.HALT,
-})
-
-#: Instruction classes dispatched to the floating-point queue.
-FP_QUEUE_CLASSES = frozenset({
-    InstrClass.FALU, InstrClass.FMUL, InstrClass.FDIV, InstrClass.FSQRT,
-})
-
-#: Instruction classes dispatched to the address queue.
-ADDR_QUEUE_CLASSES = frozenset({InstrClass.LOAD, InstrClass.STORE})
-
 #: Largest timer value the 11-bit encoded form can hold.
 MAX_TIMER = (1 << 11) - 1
 
@@ -81,7 +67,7 @@ class IQEntry:
         self.mispredicted = mispredicted
         self.jump_target = jump_target
 
-    # -- classification helpers (all derived from the instruction) -------
+    # -- classification helpers (read from the instruction's Uop) ---------
 
     @property
     def iclass(self) -> InstrClass:
@@ -89,28 +75,28 @@ class IQEntry:
 
     @property
     def is_cond_branch(self) -> bool:
-        return self.instr.is_conditional_branch
+        return self.instr.uop.is_cond_branch
 
     @property
     def is_indirect(self) -> bool:
-        return self.instr.is_indirect_jump
+        return self.instr.uop.is_indirect
 
     @property
     def is_halt(self) -> bool:
-        return self.instr.iclass is InstrClass.HALT
+        return self.instr.uop.is_halt
 
     @property
     def consumes_control(self) -> bool:
         """True if fetch consumed a control record for this instruction."""
-        return self.is_cond_branch or self.is_indirect or self.is_halt
+        return self.instr.uop.consumes_control
 
     @property
     def is_load(self) -> bool:
-        return self.instr.is_load
+        return self.instr.uop.is_load
 
     @property
     def is_store(self) -> bool:
-        return self.instr.is_store
+        return self.instr.uop.is_store
 
     @property
     def resolved(self) -> bool:
@@ -124,11 +110,12 @@ class IQEntry:
         or stop (halt).
         """
         instr = self.instr
-        if self.is_halt:
+        uop = instr.uop
+        if uop.is_halt:
             return None
-        if self.is_cond_branch:
+        if uop.is_cond_branch:
             return instr.target if self.pred_taken else instr.fall_through
-        if self.is_indirect:
+        if uop.is_indirect:
             if self.stage is Stage.DONE:
                 return self.jump_target
             return None  # fetch stalls until the jump executes
@@ -154,7 +141,8 @@ class IQEntry:
             extra = (f" pred={'T' if self.pred_taken else 'N'}"
                      f"{' MISP' if self.mispredicted else ''}")
         elif self.is_indirect:
-            extra = f" ->0x{self.jump_target:x}" if self.jump_target else ""
+            extra = (f" ->0x{self.jump_target:x}"
+                     if self.jump_target is not None else "")
         return (
             f"<0x{self.instr.address:08x} {self.instr.info.mnemonic}"
             f" {self.stage.name} t={self.timer}{extra}>"
@@ -204,21 +192,27 @@ class InstructionQueue:
 
     def load_ordinal(self, index: int) -> int:
         """Number of loads at positions strictly before *index*."""
-        return sum(1 for e in self.entries[:index] if e.is_load)
+        return sum(e.instr.uop.is_load for e in self.entries[:index])
 
     def store_ordinal(self, index: int) -> int:
         """Number of stores at positions strictly before *index*."""
-        return sum(1 for e in self.entries[:index] if e.is_store)
+        return sum(e.instr.uop.is_store for e in self.entries[:index])
 
     def control_ordinal(self, index: int) -> int:
         """Number of control-consuming entries strictly before *index*."""
-        return sum(
-            1 for e in self.entries[:index] if e.consumes_control
-        )
+        return sum(e.instr.uop.consumes_control
+                   for e in self.entries[:index])
 
     def unresolved_branches(self) -> int:
         """Conditional branches still speculative (not DONE)."""
-        return sum(
-            1 for e in self.entries
-            if e.is_cond_branch and e.stage is not Stage.DONE
-        )
+        return unresolved_branches(self.entries)
+
+
+def unresolved_branches(entries) -> int:
+    """Conditional branches in *entries* still speculative (not DONE)."""
+    done = Stage.DONE
+    count = 0
+    for entry in entries:
+        if entry.instr.uop.is_cond_branch and entry.stage is not done:
+            count += 1
+    return count

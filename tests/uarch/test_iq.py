@@ -3,14 +3,12 @@
 import pytest
 
 from repro.isa import Opcode, assemble
-from repro.uarch.iq import (
+from repro.isa.uop import (
     ADDR_QUEUE_CLASSES,
     FP_QUEUE_CLASSES,
     INT_QUEUE_CLASSES,
-    IQEntry,
-    InstructionQueue,
-    Stage,
 )
+from repro.uarch.iq import IQEntry, InstructionQueue, Stage
 
 PROGRAM = """
 main:
