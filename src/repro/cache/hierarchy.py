@@ -25,11 +25,14 @@ happen eagerly at issue time with in-flight lines guarded by MSHR
 completion times, a standard simplification that keeps behaviour a
 deterministic function of the request sequence — the property
 memoization relies on.
+
+Construction is nearly free: the tag arrays build each set on its first
+fill (see :mod:`repro.cache.sets`), and an outstanding load is kept as
+a bare ``token -> ready cycle`` entry, the one fact a poll reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cache.bus import Bus
@@ -45,18 +48,6 @@ READY = 0
 #: power of two; sized so the filter itself stays resident in the host
 #: CPU's cache while covering far more lines than a hot loop touches.
 FILTER_SIZE = 256
-
-
-@dataclass
-class _LoadRequest:
-    token: int
-    address: int
-    width: int
-    issue_time: int
-    ready_time: int
-    l1_hit: bool
-    l2_hit: bool
-    polls: int = 0
 
 
 class CacheStats:
@@ -97,7 +88,8 @@ class MemorySystem:
         self.l2_mshrs = MSHRFile(self.params.l2.mshrs)
         self.bus = Bus(self.params.bus_width)
         self.stats = CacheStats()
-        self._loads: Dict[int, _LoadRequest] = {}
+        #: Outstanding loads: ``token -> ready cycle``.
+        self._loads: Dict[int, int] = {}
         self._next_token = 0
         #: Completion times of stores occupying store-buffer slots.
         self._store_slots: List[int] = []
@@ -145,9 +137,7 @@ class MemorySystem:
                 self.stats.l1_load_hits += 1
                 self.l1.touch(entry[1])
                 ready = now + params.l1_hit_latency
-                request = self._remember(address, width, now, ready,
-                                         l1_hit=True, l2_hit=True)
-                return request.token, max(1, ready - now)
+                return self._remember(ready), max(1, ready - now)
             self.filter_misses += 1
 
         self.l1_mshrs.release_completed(now)
@@ -158,9 +148,7 @@ class MemorySystem:
             # The line is already being fetched: merge with that fill.
             self.stats.l1_load_misses += 1
             completion = self.l1_mshrs.merge(line)
-            request = self._remember(address, width, now, completion,
-                                     l1_hit=False, l2_hit=True)
-            return request.token, max(1, completion - now)
+            return self._remember(completion), max(1, completion - now)
 
         way = self.l1.probe_line(line)
         if way is not None:
@@ -168,22 +156,18 @@ class MemorySystem:
             if slot >= 0:
                 self._filter[slot] = (line, way)
             ready = now + params.l1_hit_latency
-            request = self._remember(address, width, now, ready,
-                                     l1_hit=True, l2_hit=True)
-            return request.token, max(1, ready - now)
+            return self._remember(ready), max(1, ready - now)
 
         # L1 miss: wait for a free MSHR if necessary, then access L2.
         self.stats.l1_load_misses += 1
         start = self.l1_mshrs.next_slot_time(now)
-        ready, l2_hit = self._fetch_line_from_l2(line, start)
+        ready = self._fetch_line_from_l2(line, start)
         self.l1_mshrs.allocate(line, ready)
         self._fill_l1(line)
-        request = self._remember(address, width, now, ready,
-                                 l1_hit=False, l2_hit=l2_hit)
         # First reply is optimistic: it assumes the L2 will hit. The
         # poll after this interval discovers any additional delay.
         optimistic = min(ready, start + params.l2_hit_latency)
-        return request.token, max(1, optimistic - now)
+        return self._remember(ready), max(1, optimistic - now)
 
     def poll_load(self, token: int, now: int) -> int:
         """Check a load previously issued.
@@ -192,14 +176,13 @@ class MemorySystem:
         number of further cycles to wait.
         """
         try:
-            request = self._loads[token]
+            ready = self._loads[token]
         except KeyError:
             raise SimulationError(f"unknown load token {token}") from None
-        request.polls += 1
-        if now >= request.ready_time:
+        if now >= ready:
             del self._loads[token]
             return READY
-        return request.ready_time - now
+        return ready - now
 
     def reset_timing(self) -> None:
         """Forget in-flight timing state; keep cache contents and stats.
@@ -243,14 +226,12 @@ class MemorySystem:
         """
         self._loads.pop(token, None)
 
-    def _remember(self, address: int, width: int, now: int, ready: int,
-                  l1_hit: bool, l2_hit: bool) -> _LoadRequest:
+    def _remember(self, ready: int) -> int:
+        """Record a load completing at cycle *ready*; returns its token."""
         token = self._next_token
-        self._next_token += 1
-        request = _LoadRequest(token, address, width, now, ready,
-                               l1_hit, l2_hit)
-        self._loads[token] = request
-        return request
+        self._next_token = token + 1
+        self._loads[token] = ready
+        return token
 
     # ------------------------------------------------------------------
     # Stores
@@ -309,16 +290,15 @@ class MemorySystem:
     # Line movement
     # ------------------------------------------------------------------
 
-    def _fetch_line_from_l2(self, line: int, start: int):
-        """Schedule an L1 fill from L2. Returns (ready_cycle, l2_hit)."""
+    def _fetch_line_from_l2(self, line: int, start: int) -> int:
+        """Schedule an L1 fill from L2; returns the ready cycle."""
         params = self.params
         self.l2_mshrs.release_completed(start)
         inflight = self.l2_mshrs.lookup(line)
         if inflight is not None and inflight > start:
             # L2 is already fetching this line from memory.
-            ready = self.bus.reserve(self.l2_mshrs.merge(line),
-                                     params.l1.line_size)
-            return ready, False
+            return self.bus.reserve(self.l2_mshrs.merge(line),
+                                    params.l1.line_size)
         if self.l2.probe(line):
             self.stats.l2_hits += 1
             # L2 access pipeline, then the line crosses the bus.
@@ -327,14 +307,13 @@ class MemorySystem:
             )
             ready = self.bus.reserve(max(start, access_done),
                                      params.l1.line_size)
-            return max(ready, start + params.l2_hit_latency), True
+            return max(ready, start + params.l2_hit_latency)
         self.stats.l2_misses += 1
         mem_start = self.l2_mshrs.next_slot_time(start)
         fill_done = self._fetch_line_from_memory(line, mem_start)
         self._fill_l2(line, dirty=False)
         self.l2_mshrs.allocate(line, fill_done)
-        ready = self.bus.reserve(fill_done, params.l1.line_size)
-        return ready, False
+        return self.bus.reserve(fill_done, params.l1.line_size)
 
     def _fetch_line_from_memory(self, line: int, start: int) -> int:
         """Schedule a DRAM access for *line*; returns the fill cycle."""

@@ -24,12 +24,17 @@ class CacheLevelParams:
     write_back: bool = False  #: False = write-through (no write allocate)
 
     def __post_init__(self) -> None:
+        for knob in ("size_bytes", "associativity", "line_size", "mshrs"):
+            if getattr(self, knob) <= 0:
+                raise ValueError(f"{self.name}: {knob} must be positive")
+        if self.line_size & (self.line_size - 1):
+            raise ValueError(f"{self.name}: line size must be a power of two")
         if self.size_bytes % (self.associativity * self.line_size):
             raise ValueError(
                 f"{self.name}: size must be a multiple of assoc * line_size"
             )
-        if self.line_size & (self.line_size - 1):
-            raise ValueError(f"{self.name}: line size must be a power of two")
+        if self.num_sets & (self.num_sets - 1):
+            raise ValueError(f"{self.name}: set count must be a power of two")
 
     @property
     def num_sets(self) -> int:

@@ -3,11 +3,19 @@
 Holds tags and dirty bits only — the timing models never move data, just
 like FastSim's cache simulator, which reports *when* data would arrive,
 never *what* it is.
+
+Sets are built on first fill: the array starts as one ``None`` per set,
+so a simulation pays only for the sets it touches (a suite workload
+touches at most a few dozen of the default L2's 16,384). A set that was
+never filled holds no valid line, so probes, :meth:`TagArray.contains`,
+:meth:`TagArray.set_dirty` and :meth:`TagArray.invalidate` answer for
+it without allocating. A built set is never replaced, which keeps the
+``_Way`` handles that :meth:`TagArray.probe_line` hands out valid.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cache.params import CacheLevelParams
 
@@ -28,12 +36,8 @@ class TagArray:
         self.params = params
         self._line_shift = params.line_size.bit_length() - 1
         self._set_mask = params.num_sets - 1
-        if params.num_sets & self._set_mask:
-            raise ValueError(f"{params.name}: set count must be a power of two")
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(params.associativity)]
-            for _ in range(params.num_sets)
-        ]
+        #: Per-set ways, ``None`` until the set's first fill.
+        self._sets: List[Optional[List[_Way]]] = [None] * params.num_sets
         self._clock = 0  #: monotonically increasing LRU stamp
         self.hits = 0
         self.misses = 0
@@ -45,10 +49,11 @@ class TagArray:
         """The line-aligned address containing *address*."""
         return address & ~(self.params.line_size - 1)
 
-    def _locate(self, line_addr: int) -> Tuple[List[_Way], int]:
-        index = (line_addr >> self._line_shift) & self._set_mask
+    def _locate(self, line_addr: int) -> Tuple[Sequence[_Way], int]:
+        """The ways of *line_addr*'s set (empty if never filled) and
+        its tag."""
         tag = line_addr >> self._line_shift
-        return self._sets[index], tag
+        return self._sets[tag & self._set_mask] or (), tag
 
     # ------------------------------------------------------------------
 
@@ -100,8 +105,12 @@ class TagArray:
         was displaced, else None. Filling a line already present just
         refreshes its LRU (and ORs in the dirty bit).
         """
-        line_addr = self.line_address(address)
-        ways, tag = self._locate(line_addr)
+        tag = address >> self._line_shift
+        index = tag & self._set_mask
+        ways = self._sets[index]
+        if ways is None:
+            ways = self._sets[index] = [
+                _Way() for _ in range(self.params.associativity)]
         self._clock += 1
         for way in ways:
             if way.tag == tag:

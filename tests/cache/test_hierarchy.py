@@ -87,15 +87,12 @@ class TestMshrBehaviour:
         params = tiny_params()
         mem = MemorySystem(params)
         # 8 misses to distinct lines fill the MSHRs.
-        for i in range(8):
-            mem.issue_load(0x10000 + i * 32, 4, 0)
+        tokens = [mem.issue_load(0x10000 + i * 32, 4, 0)[0]
+                  for i in range(8)]
         token, interval = mem.issue_load(0x20000, 4, 0)
         assert mem.l1_mshrs.full_stalls >= 1
         # The 9th miss cannot be ready before the first fill returns.
-        first_fill = min(
-            r.ready_time for r in mem._loads.values()
-            if r.token != token
-        )
+        first_fill = min(next_ready(mem, t, 0) for t in tokens)
         assert next_ready(mem, token, 0) > first_fill - 1
 
     def test_distinct_lines_overlap(self):
